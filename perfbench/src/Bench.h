@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,15 +41,15 @@ using Tokens = std::vector<SymbolId>;
 /// library (std::uniform_int_distribution is implementation-defined).
 class Rng {
 public:
+  /// The seed and stream go through the mixer before they become the
+  /// state: splitmix64 steps its state by the golden-ratio constant, so a
+  /// state linear in the seed would make seed N+1's stream seed N's
+  /// shifted by one draw, and a set of consecutive seeds would measure
+  /// nearly the same inputs.
   explicit Rng(uint64_t Seed, uint64_t Stream = 0)
-      : State(Seed * 0x9E3779B97F4A7C15ull + Stream * 0xD1B54A32D192ED03ull +
-              0x632BE59BD9B4E019ull) {}
-  uint64_t next() {
-    uint64_t Z = (State += 0x9E3779B97F4A7C15ull);
-    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
-    return Z ^ (Z >> 31);
-  }
+      : State(mix(mix(Seed ^ 0x632BE59BD9B4E019ull) +
+                  Stream * 0xD1B54A32D192ED03ull)) {}
+  uint64_t next() { return mix(State += 0x9E3779B97F4A7C15ull); }
   /// Uniform in [0, N); N must be > 0.
   uint64_t below(uint64_t N) { return next() % N; }
   /// Uniform in [Lo, Hi].
@@ -64,6 +65,11 @@ public:
   }
 
 private:
+  static uint64_t mix(uint64_t Z) {
+    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
+    return Z ^ (Z >> 31);
+  }
   uint64_t State;
 };
 
@@ -319,21 +325,62 @@ struct Options {
 void addLatency(RunResult &R, const std::string &Name,
                 const std::vector<double> &Us);
 
-/// setup_s is the median of this many independent set-ups.
-inline constexpr int SetupRepeats = 5;
+/// setup_s is the median of this many set-ups per timed replay (see
+/// timedSetups), 15 in an untraced run.
+inline constexpr int SetupsPerRep = 3;
 
 /// Untraced runs replay their fixed operation stream this many times (the
 /// stateful workloads on a fresh set-up each time), so every operation is
-/// measured five times on identical state, and take each operation's
-/// fastest replay as its latency. On a shared host interference from
-/// other tenants only ever adds time, and it swings by 20% and more from
-/// one second to the next; the fastest of five spaced replays is the
-/// steadiest estimate of what the operation itself costs.
+/// measured five times on identical state.
+///
+/// The single-threaded workloads (keystroke, cold_start) take each
+/// operation's fastest replay as its latency: nothing in the program
+/// competes with the operation, so on a shared host whatever a replay
+/// adds to the fastest one is interference from other tenants, which
+/// swings by 20% and more from one second to the next.
+///
+/// The two-threaded workloads (parse, grammar_edit) take each operation's
+/// median replay instead. There the program's own threads contend (shared
+/// graphs, the allocator, epoch reclamation, forks beside reader parses),
+/// and a per-operation minimum would erase exactly that delay; the median
+/// keeps any delay that hits most replays of an operation. Pooling all
+/// replays' samples would keep every delay, but its p99 then follows
+/// single host stalls (README.md, "Estimators").
 inline constexpr int TimedReps = 5;
 
 /// Element-wise minimum of equally long series: each operation's fastest
 /// replay.
 std::vector<double> perOpBest(const std::vector<std::vector<double>> &Reps);
+/// Element-wise median of equally long series, in operation order.
+std::vector<double> perOpMedian(const std::vector<std::vector<double>> &Reps);
+
+/// "<Name> by <what>: <cat> n=.. p50=.. time=..% 2x->p50+..%/p99+..%; ..."
+/// for the human-readable report. \p CatOf[I] is the category of sample
+/// I (an index into \p CatNames). For each category it gives the sample
+/// count, its p50, its share of the summed latency, and how much the
+/// whole run's p50 and p99 would rise if that category's operations took
+/// twice as long: which end-to-end metric a change confined to that
+/// category can move.
+std::string categoryNote(const std::string &Name, const std::string &What,
+                         const std::vector<double> &Us,
+                         const std::vector<size_t> &CatOf,
+                         const std::vector<std::string> &CatNames);
+
+/// Builds a workload's set-up SetupsPerRep times, timing each build into
+/// \p SetupS, and keeps the last one in \p Out. Each timed replay calls
+/// it, so the set-ups are spread over the whole run rather than bunched
+/// at its start, where one slow second on a shared host would move them
+/// all.
+template <typename T, typename Make>
+void timedSetups(std::unique_ptr<T> &Out, std::vector<double> &SetupS,
+                 Make M) {
+  for (int K = 0; K < SetupsPerRep; ++K) {
+    Out.reset();
+    uint64_t T0 = nowNs();
+    Out = M();
+    SetupS.push_back(double(nowNs() - T0) * 1e-9);
+  }
+}
 
 /// Fills the generic end-to-end metrics from the workload's primary
 /// operation latencies and its set-up times.

@@ -36,7 +36,7 @@ namespace {
 
 constexpr size_t Starts = 3000;
 constexpr size_t DocsPerCorpusGrammar = 6;
-constexpr size_t StaleEditsPerGrammar = 4;
+constexpr size_t StaleEditsPerGrammar = 16;
 
 enum GrammarIdx { Sdf, Json, CSubset, Sql, NumGrammars };
 const char *const GrammarNames[NumGrammars] = {"12x-SDF", "json", "c_subset",
@@ -89,8 +89,12 @@ Inputs makeInputs(const Options &Opt) {
       D.grow(R, 100 + K * 50 + R.below(20));
       In.Texts[I].push_back(spell(G, D.flatten()));
     }
+    // Edited rules evenly spaced over the grammar from a seeded offset:
+    // how much a stale load repairs depends on which rule changed.
+    const double Phase = R.unit();
     for (size_t K = 0; K < StaleEditsPerGrammar; ++K)
-      In.Edits[I].push_back(makeStaleEdit(G, R));
+      In.Edits[I].push_back(makeStaleEdit(
+          G, (Phase + double(K)) / double(StaleEditsPerGrammar)));
     for (const std::string &T : In.Texts[I])
       H.add(T);
     for (const RuleEdit &E : In.Edits[I]) {
@@ -272,46 +276,39 @@ RunResult runColdStart(const Options &Opt) {
 
   std::vector<double> SetupS;
   std::unique_ptr<SnapshotFiles> Snaps;
-  for (int Rep = 0; Rep < SetupRepeats; ++Rep) {
-    Snaps.reset();
-    uint64_t T0 = nowNs();
-    Snaps = std::make_unique<SnapshotFiles>(In, Opt.Where.WorkDir);
-    SetupS.push_back(double(nowNs() - T0) * 1e-9);
-  }
-
-  // Warm the process (code, allocator, page cache) with one start of each
-  // grammar and variant; these are not measured.
-  {
-    Inputs Warmup = In;
-    Warmup.Script.clear();
-    for (int G = 0; G < NumGrammars; ++G)
-      for (int V = 0; V < NumVariants; ++V)
-        Warmup.Script.push_back({GrammarIdx(G), Variant(V), 0, 0});
-    Oracle Unused;
-    RunResult Ignored;
-    SpanLog Off;
-    replay(Warmup, *Snaps, Off, Unused, Ignored, nullptr);
-  }
-
   Oracle Check;
   SpanLog Off;
   std::vector<std::vector<double>> RepUs;
-  for (int Rep = 0; Rep < (Opt.Trace ? 1 : TimedReps); ++Rep)
+  for (int Rep = 0; Rep < (Opt.Trace ? 1 : TimedReps); ++Rep) {
+    timedSetups(Snaps, SetupS, [&] {
+      return std::make_unique<SnapshotFiles>(In, Opt.Where.WorkDir);
+    });
+    if (Rep == 0) {
+      // Warm the process (code, allocator, page cache) with one start of
+      // each grammar and variant; these are checked but not timed.
+      Inputs Warmup = In;
+      Warmup.Script.clear();
+      for (int G = 0; G < NumGrammars; ++G)
+        for (int V = 0; V < NumVariants; ++V)
+          Warmup.Script.push_back({GrammarIdx(G), Variant(V), 0, 0});
+      replay(Warmup, *Snaps, Off, Check, Res, nullptr);
+    }
     RepUs.push_back(replay(In, *Snaps, Off, Check, Res, nullptr));
+  }
   Res.Notes.push_back(repsNote("first_parse_us", RepUs));
   const std::vector<double> OpUs = perOpBest(RepUs);
 
-  std::string Mix = "starts=" + std::to_string(In.Script.size()) + " p50 us";
-  for (int V = 0; V < NumVariants; ++V) {
-    std::vector<double> Of;
-    for (size_t I = 0; I < OpUs.size(); ++I)
-      if (In.Script[I].V == V)
-        Of.push_back(OpUs[I]);
-    Mix += std::string(" ") + VariantNames[V] + "=" +
-           std::to_string(uint64_t(median(Of))) + " (n=" +
-           std::to_string(Of.size()) + ")";
+  std::vector<size_t> VariantOf, GrammarOf;
+  for (const Start &S : In.Script) {
+    VariantOf.push_back(S.V);
+    GrammarOf.push_back(S.G);
   }
-  Res.Notes.push_back(Mix);
+  Res.Notes.push_back(categoryNote(
+      "first_parse_us", "variant", OpUs, VariantOf,
+      std::vector<std::string>(VariantNames, VariantNames + NumVariants)));
+  Res.Notes.push_back(categoryNote(
+      "first_parse_us", "grammar", OpUs, GrammarOf,
+      std::vector<std::string>(GrammarNames, GrammarNames + NumGrammars)));
 
   if (!Opt.Trace) {
     addLatency(Res, "first_parse", OpUs);
@@ -322,10 +319,9 @@ RunResult runColdStart(const Options &Opt) {
   LayerTotals Tot;
   SpanLog Log(true, 1);
   SnapCounters Before = SnapCounters::read();
-  RunResult Ignored;
   uint64_t Base = startLibraryTrace();
   CountAllocs = true;
-  replay(In, *Snaps, Log, Check, Ignored, &Tot);
+  replay(In, *Snaps, Log, Check, Res, &Tot);
   stopLibraryTrace();
   SnapCounters After = SnapCounters::read();
 

@@ -67,6 +67,48 @@ std::vector<double> perOpBest(const std::vector<std::vector<double>> &Reps) {
   return Out;
 }
 
+std::vector<double>
+perOpMedian(const std::vector<std::vector<double>> &Reps) {
+  std::vector<double> Out(Reps.empty() ? 0 : Reps[0].size());
+  std::vector<double> Col(Reps.size());
+  for (size_t I = 0; I < Out.size(); ++I) {
+    for (size_t R = 0; R < Reps.size(); ++R)
+      Col[R] = Reps[R][I];
+    Out[I] = median(Col);
+  }
+  return Out;
+}
+
+std::string categoryNote(const std::string &Name, const std::string &What,
+                         const std::vector<double> &Us,
+                         const std::vector<size_t> &CatOf,
+                         const std::vector<std::string> &CatNames) {
+  const double P50 = quantile(Us, 0.50), P99 = quantile(Us, 0.99);
+  double Total = 0;
+  for (double V : Us)
+    Total += V;
+  std::string Out = Name + " by " + What + ":";
+  for (size_t C = 0; C < CatNames.size(); ++C) {
+    std::vector<double> Of, Doubled = Us;
+    double Sum = 0;
+    for (size_t I = 0; I < Us.size(); ++I)
+      if (CatOf[I] == C) {
+        Of.push_back(Us[I]);
+        Sum += Us[I];
+        Doubled[I] *= 2;
+      }
+    char Buf[160];
+    std::snprintf(Buf, sizeof(Buf),
+                  "%s %s n=%zu p50=%.0f time=%.0f%% 2x->p50%+.0f%%/p99%+.0f%%",
+                  C ? ";" : "", CatNames[C].c_str(), Of.size(), median(Of),
+                  Total > 0 ? 100 * Sum / Total : 0,
+                  P50 > 0 ? 100 * (quantile(Doubled, 0.50) / P50 - 1) : 0,
+                  P99 > 0 ? 100 * (quantile(Doubled, 0.99) / P99 - 1) : 0);
+    Out += Buf;
+  }
+  return Out;
+}
+
 std::string repsNote(const std::string &Name,
                      const std::vector<std::vector<double>> &Reps) {
   std::string Out = Name + " p50 by repetition:";

@@ -321,9 +321,9 @@ static std::vector<RuleId> liveRules(const Grammar &G, bool Clones) {
   return Out;
 }
 
-RuleEdit makeStaleEdit(const Grammar &G, Rng &R) {
+RuleEdit makeStaleEdit(const Grammar &G, double At) {
   std::vector<RuleId> Live = liveRules(G, false);
-  const Rule &Base = G.rule(Live[R.below(Live.size())]);
+  const Rule &Base = G.rule(Live[size_t(At * double(Live.size()))]);
   RuleEdit E;
   E.Lhs = Base.Lhs;
   E.Rhs = Base.Rhs;
@@ -332,53 +332,74 @@ RuleEdit makeStaleEdit(const Grammar &G, Rng &R) {
 }
 
 std::vector<ModifyOp> makeModifyScript(const Grammar &G, uint64_t Seed,
-                                       size_t Ops) {
+                                       size_t Cycles) {
   Rng R(Seed, 0x6d6f64);
   struct Candidate {
     RuleEdit Rule;
     bool Present;
   };
   // Category 0: the Fig 7.1 rule. 1: new rules on live nonterminals,
-  // each ending in its own keyword. 2: existing rules of the clones.
+  // each ending in an edit keyword. 2: existing rules of the clones.
   std::vector<Candidate> Cats[3];
   Cats[0].push_back({{true,
                       mustLookup(G, "CF-ELEM"),
                       {mustLookup(G, "("), mustLookup(G, "CF-ELEM+"),
                        mustLookup(G, ")?")}},
                      false});
+  // Every live rule is a candidate: how much of the documents a live edit
+  // re-parses, and how many item sets it re-expands, depends heavily on
+  // which rule it extends, so a seeded pick of a few would make one seed's
+  // run much heavier than another's.
   std::vector<RuleId> Live = liveRules(G, false);
-  for (size_t I = 0; I < EditKeywords; ++I) {
-    const Rule &Base = G.rule(Live[R.below(Live.size())]);
+  for (size_t I = 0; I < Live.size(); ++I) {
+    const Rule &Base = G.rule(Live[I]);
     Candidate C{{true, Base.Lhs, Base.Rhs}, false};
-    C.Rule.Rhs.push_back(mustLookup(G, keyword(I)));
+    C.Rule.Rhs.push_back(mustLookup(G, keyword(I % EditKeywords)));
     Cats[1].push_back(std::move(C));
   }
+  // As many distinct clone rules, drawn by the seed; no input reaches
+  // them, so which ones hardly matters.
   std::vector<RuleId> Clones = liveRules(G, true);
-  for (size_t I = 0; I < 24; ++I) {
-    const Rule &Base = G.rule(Clones[R.below(Clones.size())]);
-    bool Dup = false;
-    for (const Candidate &C : Cats[2])
-      Dup |= C.Rule.Lhs == Base.Lhs && C.Rule.Rhs == Base.Rhs;
-    if (!Dup)
-      Cats[2].push_back({{false, Base.Lhs, Base.Rhs}, true});
+  R.shuffle(Clones);
+  for (size_t I = 0; I < Live.size(); ++I) {
+    const Rule &Base = G.rule(Clones[I]);
+    Cats[2].push_back({{false, Base.Lhs, Base.Rhs}, true});
   }
 
+  // Each category's candidates are edited in a seeded cyclic order, each
+  // one twice in a row: added and removed again, or removed and restored.
+  // So the grammar never holds more than one pending edit per category.
+  size_t Next[3] = {};
+  for (std::vector<Candidate> &Cat : Cats)
+    R.shuffle(Cat);
   auto Toggle = [&](int Cat) {
-    Candidate &C = Cats[Cat][R.below(Cats[Cat].size())];
+    Candidate &C = Cats[Cat][Next[Cat]++ / 2 % Cats[Cat].size()];
     RuleEdit E = C.Rule;
     E.Add = !C.Present;
     C.Present = !C.Present;
     return E;
   };
-  static const std::vector<double> KindWeights = {0.10, 0.20, 0.55, 0.15};
-  static const std::vector<double> CatWeights = {0.10, 0.20, 0.55};
+  // Equal shares of the four kinds, exactly, in a seeded order: the issue
+  // names the kinds but no shares, and equal shares put three quarters of
+  // the operations on edits that make the documents repair and re-parse,
+  // so the median operation is a real migration, not a Reused no-op. A
+  // burst edits one rule of each category, so the live and clone
+  // categories each get 2 × PerKind edits: Cycles add/remove pairs of
+  // every candidate.
+  const size_t PerKind = Cycles * Live.size();
+  std::vector<ModifyOp::Kind> Kinds;
+  for (size_t I = 0; I < PerKind * ModifyOp::NumKinds; ++I)
+    Kinds.push_back(ModifyOp::Kind(I % ModifyOp::NumKinds));
+  R.shuffle(Kinds);
   std::vector<ModifyOp> Script;
-  for (size_t I = 0; I < Ops; ++I) {
+  for (ModifyOp::Kind K : Kinds) {
     ModifyOp Op;
-    Op.K = ModifyOp::Kind(R.weighted(KindWeights));
+    Op.K = K;
     if (Op.K == ModifyOp::Burst) {
-      for (uint64_t N = R.range(2, 4); N; --N)
-        Op.Edits.push_back(Toggle(int(R.weighted(CatWeights))));
+      std::vector<int> Order = {0, 1, 2};
+      R.shuffle(Order);
+      for (int Cat : Order)
+        Op.Edits.push_back(Toggle(Cat));
     } else {
       Op.Edits.push_back(Toggle(int(Op.K)));
     }

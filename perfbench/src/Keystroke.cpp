@@ -235,9 +235,9 @@ RunResult runKeystroke(const Options &Opt) {
   std::vector<double> SetupS;
   std::vector<std::vector<double>> RepUs;
   for (int Rep = 0; Rep < (Opt.Trace ? 1 : TimedReps); ++Rep) {
-    uint64_t T0 = nowNs();
-    Editor Ed(In, Off);
-    SetupS.push_back(double(nowNs() - T0) * 1e-9);
+    std::unique_ptr<Editor> EdP;
+    timedSetups(EdP, SetupS, [&] { return std::make_unique<Editor>(In, Off); });
+    Editor &Ed = *EdP;
     RepUs.push_back(replay(In, Ed, Off, &Check, nullptr));
     Res.Attempted += In.Script.size();
     // Earley is quadratic on these long lists; check on three threads,
@@ -249,13 +249,18 @@ RunResult runKeystroke(const Options &Opt) {
   Res.Notes.push_back("oracle: " + std::to_string(Check.calls()) +
                       " distinct buffers parsed by Earley");
   Res.Notes.push_back(tenthsNote("keystroke_us", OpUs));
+  std::vector<size_t> KindOf, JumpOf;
+  for (const Keystroke &K : In.Script) {
+    KindOf.push_back(K.K);
+    JumpOf.push_back(K.Jumped);
+  }
+  Res.Notes.push_back(categoryNote(
+      "keystroke_us", "kind", OpUs, KindOf,
+      {"retype", "substitute", "insert", "delete", "break", "repair"}));
+  Res.Notes.push_back(categoryNote("keystroke_us", "cursor", OpUs, JumpOf,
+                                   {"local", "jumped"}));
 
   if (!Opt.Trace) {
-    while (SetupS.size() < size_t(SetupRepeats)) {
-      uint64_t T0 = nowNs();
-      Editor Ed(In, Off);
-      SetupS.push_back(double(nowNs() - T0) * 1e-9);
-    }
     addLatency(Res, "keystroke", OpUs);
     finishEndToEnd(Res, OpUs, SetupS);
   } else {
@@ -263,8 +268,10 @@ RunResult runKeystroke(const Options &Opt) {
     SpanLog Log(true, 1);
     uint64_t Base = startLibraryTrace();
     Editor Ed(In, Log);
-    replay(In, Ed, Log, nullptr, &Tot);
+    replay(In, Ed, Log, &Check, &Tot);
     stopLibraryTrace();
+    Res.Attempted += In.Script.size();
+    Res.Failed += Check.runDeferred(3);
 
     // End-of-run state against a scratch parse of the same buffers.
     double Live = 0, Arena = 0;

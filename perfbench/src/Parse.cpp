@@ -39,8 +39,15 @@ const char *const GrammarNames[NumGrammars] = {
     "palindrome"};
 
 /// Share of operations per category: SDF samples, the three list
-/// languages, the two ambiguous grammars.
-const std::vector<double> CategoryWeights = {0.35, 0.50, 0.15};
+/// languages, the two ambiguous grammars. No record of real traffic
+/// exists to take them from; they are set so that each category takes a
+/// fifth or more of the parse time (the category note of every run shows
+/// the shares), so that a change confined to one category moves
+/// op_p50_us.
+const std::vector<double> CategoryWeights = {0.30, 0.40, 0.30};
+
+/// Index into CategoryWeights.
+size_t categoryOf(GrammarIdx G) { return G == Sdf ? 0 : G < AmbExpr ? 1 : 2; }
 
 struct Doc {
   GrammarIdx G;
@@ -97,8 +104,8 @@ Inputs makeInputs(const Options &Opt) {
     buildGrammar(G, In, GrammarIdx(I));
     for (size_t K = 0; K < PoolPerGrammar; ++K)
       Add(GrammarIdx(I), I == AmbExpr
-                             ? makeAmbiguousExpr(G, R, 6 + 2 * K)
-                             : makePalindrome(G, R, 10 + 6 * K + R.below(4)));
+                             ? makeAmbiguousExpr(G, R, 12 + 4 * K)
+                             : makePalindrome(G, R, 40 + 40 * K + R.below(4)));
   }
   const std::vector<std::vector<GrammarIdx>> Categories = {
       {Sdf}, {Json, CSubset, Sql}, {AmbExpr, Palindrome}};
@@ -219,23 +226,16 @@ RunResult runParse(const Options &Opt) {
   const Inputs In = makeInputs(Opt);
   Res.StreamHash = In.Hash;
 
+  // Untraced repetitions, each on freshly built and warmed servers.
   SpanLog Off;
   std::vector<double> SetupS;
   std::unique_ptr<Service> Svc;
-  for (int Rep = 0; Rep < SetupRepeats; ++Rep) {
-    Svc.reset();
-    uint64_t T0 = nowNs();
-    Svc = std::make_unique<Service>(In, Off);
-    SetupS.push_back(double(nowNs() - T0) * 1e-9);
-  }
-
-  // Untraced repetitions over the same warm servers; each parse's fastest
-  // replay.
   std::vector<SpanLog> OffLogs(Clients);
   std::vector<std::vector<double>> RepUs;
   std::vector<double> TokPerS;
   Oracle Check;
   for (int Rep = 0; Rep < (Opt.Trace ? 1 : TimedReps); ++Rep) {
+    timedSetups(Svc, SetupS, [&] { return std::make_unique<Service>(In, Off); });
     std::vector<ClientRun> Runs = pass(In, *Svc, OffLogs, false);
     RepUs.emplace_back();
     double Tput = 0;
@@ -253,7 +253,14 @@ RunResult runParse(const Options &Opt) {
     TokPerS.push_back(Tput);
   }
   Res.Notes.push_back(repsNote("parse_us", RepUs));
-  const std::vector<double> OpUs = perOpBest(RepUs);
+  // Two client threads contend here (Bench.h: TimedReps).
+  const std::vector<double> OpUs = perOpMedian(RepUs);
+  std::vector<size_t> CatOf;
+  for (unsigned C = 0; C < Clients; ++C)
+    for (uint32_t P : In.Draw[C])
+      CatOf.push_back(categoryOf(In.Pool[P].G));
+  Res.Notes.push_back(categoryNote("parse_us", "category", OpUs, CatOf,
+                                   {"sdf", "list", "ambiguous"}));
 
   double Tokens = 0, AmbTokens = 0, SdfTokens = 0;
   for (unsigned C = 0; C < Clients; ++C)
@@ -294,6 +301,14 @@ RunResult runParse(const Options &Opt) {
   stopLibraryTrace();
   LrCounters Lr = LrCounters::read() - LrBefore;
   double Gotos = double(sumStats(Graphs).GotoCalls - GotoBefore);
+
+  for (unsigned C = 0; C < Clients; ++C)
+    for (size_t I = 0; I < Runs[C].Got.size(); ++I) {
+      const Doc &D = In.Pool[In.Draw[C][I]];
+      ++Res.Attempted;
+      Res.Failed += !Check.agrees(Svc->Servers[D.G]->epoch()->grammar(),
+                                  D.Toks, Runs[C].Got[I]);
+    }
 
   ClientRun T;
   for (const ClientRun &R : Runs) {

@@ -5,10 +5,10 @@
                                 [--workloads keystroke,parse,...] [--out FILE]
 
 Runs perfbench/run.py once per seed (seeds first-seed .. first-seed+runs-1)
-on each workload, sequentially, and reports for every end-to-end metric the
-median and the spread: the distance between the first and third quartiles
-(statistics.quantiles(values, n=4)) as a share of the median, next to the
-metric's bound from BENCHMARK.json. Run it from the root of a checkout.
+on each workload, cycling round-robin over the workloads, and reports for
+every end-to-end metric the median and the spread: the distance between the
+first and third quartiles (statistics.quantiles(values, n=4)) as a share of
+the median, next to the metric's bound from BENCHMARK.json. Run it from the root of a checkout.
 """
 
 import argparse
@@ -41,23 +41,31 @@ def main():
     args = ap.parse_args()
 
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    report = {}
-    for w in args.workloads.split(","):
-        values = {m: [] for m in bounds}
-        failed = 0
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+    workloads = args.workloads.split(",")
+    values = {w: {m: [] for m in bounds} for w in workloads}
+    failed = {w: 0 for w in workloads}
+    # Round-robin: seed by seed, every workload in turn, so a slow drift of
+    # the host's speed spreads over all workloads instead of landing on
+    # the ones measured last.
+    for seed in range(args.first_seed, args.first_seed + args.runs):
+        for w in workloads:
             r = run_once(w, seed, bench["run_seconds"])
-            failed += r["failed"] + (0 if r["correct"] else 1)
+            failed[w] += r["failed"] + (0 if r["correct"] else 1)
             for m in bounds:
-                values[m].append(r["metrics"][m]["value"])
-        report[w] = {"failed": failed, "metrics": {}}
-        for m, vs in values.items():
+                values[w][m].append(r["metrics"][m]["value"])
+            print(f"{w:13s} seed {seed}: " + "  ".join(
+                f"{m} {r['metrics'][m]['value']:.4g}" for m in bounds),
+                file=sys.stderr, flush=True)
+    report = {}
+    for w in workloads:
+        report[w] = {"failed": failed[w], "metrics": {}}
+        for m, vs in values[w].items():
             q1, med, q3 = statistics.quantiles(vs, n=4)
             spread = (q3 - q1) / med
             report[w]["metrics"][m] = {
                 "median": med, "spread": round(spread, 4),
                 "bound": bounds[m], "values": vs}
-            print(f"{w:13s} {m:12s} median {med:12.3f}  spread "
+            print(f"{w:13s} {m:12s} median {med:12.4f}  spread "
                   f"{spread:6.3f}  bound {bounds[m]:.2f}"
                   f"{'  ' if spread < bounds[m] / 3 else '  WIDE'}",
                   flush=True)
