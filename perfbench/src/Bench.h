@@ -114,6 +114,11 @@ double drift(const std::vector<double> &Values);
 /// "<Name> p50 by repetition: ..." for the human-readable report.
 std::string repsNote(const std::string &Name,
                      const std::vector<std::vector<double>> &Reps);
+/// "<Name> estimators: fastest p50/p99 .. lower-quartile .. median ..":
+/// the run's p50 and p99 under each per-operation estimator
+/// (perOpQuantile), for the human-readable report.
+std::string estimatorNote(const std::string &Name,
+                          const std::vector<std::vector<double>> &Reps);
 /// "<Name> p50 by tenth of the run: ..." for the human-readable report.
 std::string tenthsNote(const std::string &Name,
                        const std::vector<double> &Values);
@@ -300,6 +305,7 @@ struct RunResult {
   uint64_t Attempted = 0;
   uint64_t Failed = 0;
   uint64_t StreamHash = 0;
+  int Passes = 0; ///< Passes over the operation stream (PassClock).
   /// End-to-end metrics under their workload-specific names
   /// (keystroke_p50_us, ...), printed in the human-readable table.
   std::map<std::string, Metric> Named;
@@ -319,40 +325,74 @@ struct Options {
   bool Trace = false;
   Paths Where;
   std::string TraceFile; ///< Chrome trace path for the traced run.
+  double Seconds = 10;   ///< The run's time budget (PassClock).
+  uint64_t StartNs = 0;  ///< When the process started (nowNs()).
 };
 
 /// Records one timing series as <Name>_p50_us / <Name>_p99_us (µs).
 void addLatency(RunResult &R, const std::string &Name,
                 const std::vector<double> &Us);
 
-/// setup_s is the median of this many set-ups per timed replay (see
-/// timedSetups), 15 in an untraced run.
+/// setup_s is the median of this many set-ups per timed pass (see
+/// timedSetups).
 inline constexpr int SetupsPerRep = 3;
 
-/// Untraced runs replay their fixed operation stream this many times (the
+/// Untraced runs replay their fixed operation stream pass after pass (the
 /// stateful workloads on a fresh set-up each time), so every operation is
-/// measured five times on identical state.
-///
-/// The single-threaded workloads (keystroke, cold_start) take each
-/// operation's fastest replay as its latency: nothing in the program
-/// competes with the operation, so on a shared host whatever a replay
-/// adds to the fastest one is interference from other tenants, which
-/// swings by 20% and more from one second to the next.
-///
-/// The two-threaded workloads (parse, grammar_edit) take each operation's
-/// median replay instead. There the program's own threads contend (shared
-/// graphs, the allocator, epoch reclamation, forks beside reader parses),
-/// and a per-operation minimum would erase exactly that delay; the median
-/// keeps any delay that hits most replays of an operation. Pooling all
-/// replays' samples would keep every delay, but its p99 then follows
-/// single host stalls (README.md, "Estimators").
-inline constexpr int TimedReps = 5;
+/// measured many times on identical state. A pass always runs the whole
+/// stream: the run's length in time (--seconds) sets how many passes it
+/// makes, never how many operations a pass holds, so a faster build
+/// measures the same operations more often rather than other ones.
+inline constexpr int MinPasses = 5;
+/// Caps the samples kept per operation.
+inline constexpr int MaxPasses = 200;
 
-/// Element-wise minimum of equally long series: each operation's fastest
-/// replay.
+/// Paces the passes of a run: at least MinPasses, then more while one
+/// more pass, as long as the last one (set-ups and oracle checks
+/// included), still ends inside the run's budget of --seconds counted
+/// from the start of the process. A traced run makes exactly one pass.
+///
+///   PassClock Clock(Opt);
+///   while (Clock.next()) { ...one pass... }
+class PassClock {
+public:
+  explicit PassClock(const Options &Opt);
+  /// Ends the previous pass (if any) and says whether to start another.
+  bool next();
+  int passes() const { return Passes; }
+
+private:
+  uint64_t DeadlineNs;
+  int Limit;
+  int Passes = 0;
+  uint64_t PassStartNs = 0, LastNs = 0;
+};
+
+/// Each operation's latency is its fastest pass, on every workload.
+///
+/// Other tenants of a shared host slow the program down in spells of
+/// seconds to minutes, often by half and more. Steal time stays near 0
+/// and a loop that stays in registers slows by under a tenth, so the
+/// cause is shared caches and memory, and CPU-time clocks slow down as
+/// much as wall time. A spell that covers part of a
+/// run only adds time to the passes inside it; with the passes spread
+/// over the whole run, an operation only has to meet one quiet moment.
+/// Per-operation medians and lower quartiles follow the spells instead
+/// (README.md, "Estimators", has the measurements).
+///
+/// On parse and grammar_edit two threads of the program contend (shared
+/// graphs, the allocator, forks beside reader parses). Their contention
+/// stays in the fastest pass wherever it recurs in every pass, since the
+/// threads run the same streams side by side each time; a delay that
+/// only some passes meet is dropped with the host's. estimatorNote()
+/// prints the median pass's p50 and p99 beside the fastest's, so such a
+/// delay still shows in the report.
 std::vector<double> perOpBest(const std::vector<std::vector<double>> &Reps);
-/// Element-wise median of equally long series, in operation order.
-std::vector<double> perOpMedian(const std::vector<std::vector<double>> &Reps);
+
+/// Element-wise nearest-rank \p Q quantile of equally long series: each
+/// operation's latency over the passes (Q = 0 is its fastest pass).
+std::vector<double> perOpQuantile(const std::vector<std::vector<double>> &Reps,
+                                  double Q);
 
 /// "<Name> by <what>: <cat> n=.. p50=.. time=..% 2x->p50+..%/p99+..%; ..."
 /// for the human-readable report. \p CatOf[I] is the category of sample
@@ -367,7 +407,7 @@ std::string categoryNote(const std::string &Name, const std::string &What,
                          const std::vector<std::string> &CatNames);
 
 /// Builds a workload's set-up SetupsPerRep times, timing each build into
-/// \p SetupS, and keeps the last one in \p Out. Each timed replay calls
+/// \p SetupS, and keeps the last one in \p Out. Each timed pass calls
 /// it, so the set-ups are spread over the whole run rather than bunched
 /// at its start, where one slow second on a shared host would move them
 /// all.

@@ -279,11 +279,12 @@ RunResult runColdStart(const Options &Opt) {
   Oracle Check;
   SpanLog Off;
   std::vector<std::vector<double>> RepUs;
-  for (int Rep = 0; Rep < (Opt.Trace ? 1 : TimedReps); ++Rep) {
+  PassClock Clock(Opt);
+  while (Clock.next()) {
     timedSetups(Snaps, SetupS, [&] {
       return std::make_unique<SnapshotFiles>(In, Opt.Where.WorkDir);
     });
-    if (Rep == 0) {
+    if (Clock.passes() == 1) {
       // Warm the process (code, allocator, page cache) with one start of
       // each grammar and variant; these are checked but not timed.
       Inputs Warmup = In;
@@ -295,7 +296,9 @@ RunResult runColdStart(const Options &Opt) {
     }
     RepUs.push_back(replay(In, *Snaps, Off, Check, Res, nullptr));
   }
+  Res.Passes = Clock.passes();
   Res.Notes.push_back(repsNote("first_parse_us", RepUs));
+  Res.Notes.push_back(estimatorNote("first_parse_us", RepUs));
   const std::vector<double> OpUs = perOpBest(RepUs);
 
   std::vector<size_t> VariantOf, GrammarOf;

@@ -59,24 +59,35 @@ double drift(const std::vector<double> &Values) {
   return Base > 0 ? median(Last) / Base : 0;
 }
 
-std::vector<double> perOpBest(const std::vector<std::vector<double>> &Reps) {
-  std::vector<double> Out = Reps.empty() ? std::vector<double>() : Reps[0];
-  for (const std::vector<double> &R : Reps)
-    for (size_t I = 0; I < Out.size(); ++I)
-      Out[I] = std::min(Out[I], R[I]);
-  return Out;
-}
-
 std::vector<double>
-perOpMedian(const std::vector<std::vector<double>> &Reps) {
+perOpQuantile(const std::vector<std::vector<double>> &Reps, double Q) {
   std::vector<double> Out(Reps.empty() ? 0 : Reps[0].size());
   std::vector<double> Col(Reps.size());
   for (size_t I = 0; I < Out.size(); ++I) {
     for (size_t R = 0; R < Reps.size(); ++R)
       Col[R] = Reps[R][I];
-    Out[I] = median(Col);
+    Out[I] = quantile(Col, Q);
   }
   return Out;
+}
+
+std::vector<double> perOpBest(const std::vector<std::vector<double>> &Reps) {
+  return perOpQuantile(Reps, 0.0);
+}
+
+PassClock::PassClock(const Options &Opt)
+    : DeadlineNs(Opt.StartNs + uint64_t(Opt.Seconds * 1e9)),
+      Limit(Opt.Trace ? 1 : MaxPasses) {}
+
+bool PassClock::next() {
+  uint64_t Now = nowNs();
+  if (Passes > 0)
+    LastNs = Now - PassStartNs;
+  if (Passes >= Limit || (Passes >= MinPasses && Now + LastNs > DeadlineNs))
+    return false;
+  ++Passes;
+  PassStartNs = Now;
+  return true;
 }
 
 std::string categoryNote(const std::string &Name, const std::string &What,
@@ -399,6 +410,21 @@ uint64_t Oracle::runDeferred(unsigned Threads) {
   return Failed;
 }
 
+std::string estimatorNote(const std::string &Name,
+                          const std::vector<std::vector<double>> &Reps) {
+  std::string Out = Name + " estimators:";
+  const std::pair<const char *, double> Ests[] = {
+      {"fastest", 0.0}, {"lower-quartile", 0.25}, {"median", 0.5}};
+  for (const auto &[EstName, Q] : Ests) {
+    std::vector<double> Us = perOpQuantile(Reps, Q);
+    char Buf[96];
+    std::snprintf(Buf, sizeof(Buf), " %s p50/p99 %.1f/%.1f", EstName,
+                  quantile(Us, 0.50), quantile(Us, 0.99));
+    Out += Buf;
+  }
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // Results.
 //===----------------------------------------------------------------------===//
@@ -418,7 +444,6 @@ void finishEndToEnd(RunResult &R, const std::vector<double> &OpUs,
                             "ratio", R.Attempted};
   R.EndToEnd["setup_s"] = R.Named["setup_s"];
   R.EndToEnd["op_p50_us"] = {quantile(OpUs, 0.50), "us", OpUs.size()};
-  R.EndToEnd["op_p99_us"] = {quantile(OpUs, 0.99), "us", OpUs.size()};
   R.EndToEnd["peak_rss_mb"] = R.Named["peak_rss_mb"];
 }
 

@@ -379,15 +379,18 @@ std::vector<ModifyOp> makeModifyScript(const Grammar &G, uint64_t Seed,
     C.Present = !C.Present;
     return E;
   };
-  // Equal shares of the four kinds, exactly, in a seeded order: the issue
-  // names the kinds but no shares, and equal shares put three quarters of
-  // the operations on edits that make the documents repair and re-parse,
-  // so the median operation is a real migration, not a Reused no-op. A
-  // burst edits one rule of each category, so the live and clone
-  // categories each get 2 × PerKind edits: Cycles add/remove pairs of
-  // every candidate.
+  // Exact shares in a seeded order: two fifths Fig 7.1 toggles, a fifth
+  // each of the other kinds. The issue names the kinds but no shares.
+  // Four fifths of the operations make the documents repair and re-parse,
+  // so the median operation is a real migration, not a Reused no-op. The
+  // kinds' costs hardly overlap (clone < Fig 7.1 < live < burst), and
+  // with equal quarters the median fell on the seam between the Fig 7.1
+  // and live operations, where a small shift in either moved it by a
+  // quarter; now it falls inside the Fig 7.1 operations. A burst edits
+  // one rule of each category, so the live and clone categories each get
+  // 2 × PerKind edits: Cycles add/remove pairs of every candidate.
   const size_t PerKind = Cycles * Live.size();
-  std::vector<ModifyOp::Kind> Kinds;
+  std::vector<ModifyOp::Kind> Kinds(PerKind, ModifyOp::Fig71);
   for (size_t I = 0; I < PerKind * ModifyOp::NumKinds; ++I)
     Kinds.push_back(ModifyOp::Kind(I % ModifyOp::NumKinds));
   R.shuffle(Kinds);

@@ -148,11 +148,12 @@ inline constexpr size_t EditKeywords = 8;
 /// The seeded grammar-edit script over the 12x-SDF grammar \p G (which
 /// must carry the edit keywords): the Fig 7.1 CF-ELEM rule toggled, new
 /// rules on live-copy nonterminals toggled, existing rules of the unused
-/// M<k># clones toggled, and bursts of one edit of each of those. The four
-/// kinds get a quarter of the operations each. Every live-copy rule (and
-/// as many clone rules) is added and removed again \p Cycles times, so
-/// the seed changes the order of the edits but not which edits are made;
-/// that makes 4 × Cycles × (number of live-copy rules) operations. Every
+/// M<k># clones toggled, and bursts of one edit of each of those. Fig 7.1
+/// toggles get two fifths of the operations, the other kinds a fifth
+/// each. Every live-copy rule (and as many clone rules) is added and
+/// removed again \p Cycles times, so the seed changes the order of the
+/// edits but not which edits are made; that makes 5 × Cycles × (number of
+/// live-copy rules) operations. Every
 /// edit is valid when applied in order (adds only absent rules, removes
 /// only present ones).
 std::vector<ModifyOp> makeModifyScript(const ipg::Grammar &G, uint64_t Seed,

@@ -33,9 +33,9 @@ namespace pb {
 namespace {
 
 /// Every live-copy rule of the 12x-SDF grammar (59) is added and removed
-/// this many times: 4 × 5 × 59 = 1,180 writer operations, enough to leave
+/// this many times: 5 × 4 × 59 = 1,180 writer operations, enough to leave
 /// more than ten samples above the p99.
-constexpr size_t EditCycles = 5;
+constexpr size_t EditCycles = 4;
 constexpr size_t ReaderOps = 2000;
 
 struct Inputs {
@@ -290,7 +290,8 @@ RunResult runGrammarEdit(const Options &Opt) {
   Oracle Checks[2];
   std::vector<double> SetupS;
   std::vector<std::vector<double>> ModifyReps, ReadReps;
-  for (int Rep = 0; Rep < (Opt.Trace ? 1 : TimedReps); ++Rep) {
+  PassClock Clock(Opt);
+  while (Clock.next()) {
     std::unique_ptr<Workbench> WP;
     timedSetups(WP, SetupS, [&] { return std::make_unique<Workbench>(Off); });
     Workbench &W = *WP;
@@ -303,10 +304,11 @@ RunResult runGrammarEdit(const Options &Opt) {
   Res.Notes.push_back("oracle: " +
                       std::to_string(Checks[0].calls() + Checks[1].calls()) +
                       " distinct inputs parsed by Earley");
+  Res.Passes = Clock.passes();
   Res.Notes.push_back(repsNote("modify_us", ModifyReps));
-  // Two threads of the program contend here (Bench.h: TimedReps).
-  const std::vector<double> ModifyUs = perOpMedian(ModifyReps);
-  const std::vector<double> ReadUs = perOpMedian(ReadReps);
+  Res.Notes.push_back(estimatorNote("modify_us", ModifyReps));
+  const std::vector<double> ModifyUs = perOpBest(ModifyReps);
+  const std::vector<double> ReadUs = perOpBest(ReadReps);
   Res.Notes.push_back(tenthsNote("modify_us", ModifyUs));
   std::vector<size_t> KindOf;
   for (const ModifyOp &Op : In.Script)

@@ -234,7 +234,8 @@ RunResult runKeystroke(const Options &Opt) {
   SpanLog Off;
   std::vector<double> SetupS;
   std::vector<std::vector<double>> RepUs;
-  for (int Rep = 0; Rep < (Opt.Trace ? 1 : TimedReps); ++Rep) {
+  PassClock Clock(Opt);
+  while (Clock.next()) {
     std::unique_ptr<Editor> EdP;
     timedSetups(EdP, SetupS, [&] { return std::make_unique<Editor>(In, Off); });
     Editor &Ed = *EdP;
@@ -244,7 +245,9 @@ RunResult runKeystroke(const Options &Opt) {
     // while the grammars the checks refer to are alive.
     Res.Failed += Check.runDeferred(3);
   }
+  Res.Passes = Clock.passes();
   Res.Notes.push_back(repsNote("keystroke_us", RepUs));
+  Res.Notes.push_back(estimatorNote("keystroke_us", RepUs));
   const std::vector<double> OpUs = perOpBest(RepUs);
   Res.Notes.push_back("oracle: " + std::to_string(Check.calls()) +
                       " distinct buffers parsed by Earley");

@@ -154,10 +154,11 @@ void testModifyScript() {
                        : !G.removeRule(E.Lhs, E.Rhs).second;
   }
   check(Invalid == 0, "grammar_edit: every edit is valid in script order");
-  bool Equal = true;
-  for (size_t K : Kinds)
-    Equal &= K == A.size() / ModifyOp::NumKinds;
-  check(Equal, "grammar_edit: every operation kind has an equal share");
+  bool Shares = Kinds[ModifyOp::Fig71] == 2 * A.size() / 5;
+  for (size_t K = ModifyOp::Live; K < ModifyOp::NumKinds; ++K)
+    Shares &= Kinds[K] == A.size() / 5;
+  check(Shares, "grammar_edit: Fig 7.1 toggles are two fifths of the "
+                "operations, every other kind a fifth");
 }
 
 void testAmbiguousInputs(const std::string &Corpus) {
